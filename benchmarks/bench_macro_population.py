@@ -6,10 +6,12 @@ draws ``cohort`` workers per round from 10**5 registered ones must cost
 (time and memory) what the cohort costs, not the population.  This
 driver measures exactly that:
 
-- each population cell runs ``run_experiment`` in a **fresh subprocess**
+- each population cell runs one experiment in a **fresh subprocess**
   (``ru_maxrss`` is a process-lifetime high-water mark, so in-process
   sequencing would conflate the cells) and reports wall time per round
-  plus peak RSS;
+  plus peak RSS.  Only the rounds are timed: the one-off set-up
+  (``prepare_experiment``: data, σ calibration, simulation build) is
+  reported apart as ``prepare_s``, so it cannot hide a round regression;
 - before timing, the out-of-core streaming aggregation path is gated
   *bitwise* against the in-memory reference on an n=120 cohort -- the
   largest stacked round the pre-population benches ever ran;
@@ -53,16 +55,23 @@ def build_config(population: int, cohort: int, epochs: int, seed: int):
 
 
 def run_once(config):
-    """(history dict, final parameters) of one experiment run."""
+    """(history dict, final parameters, rounds, timings) of one experiment run.
+
+    ``timings`` holds ``prepare_s`` (set-up) and ``rounds_s`` (the rounds).
+    """
     from repro.experiments.runner import prepare_experiment
 
+    start = time.perf_counter()
     setup = prepare_experiment(config)
+    prepared = time.perf_counter()
     try:
         history = setup.simulation.run()
+        finished = time.perf_counter()
         parameters = setup.simulation.model.get_flat_parameters().copy()
     finally:
         setup.simulation.close()
-    return history.as_dict(), parameters, setup.total_rounds
+    timings = {"prepare_s": prepared - start, "rounds_s": finished - prepared}
+    return history.as_dict(), parameters, setup.total_rounds, timings
 
 
 def command_child(arguments: argparse.Namespace) -> int:
@@ -70,9 +79,8 @@ def command_child(arguments: argparse.Namespace) -> int:
     config = build_config(
         arguments.population, arguments.cohort, arguments.epochs, arguments.seed
     )
-    start = time.perf_counter()
-    history, _, rounds = run_once(config)
-    elapsed = time.perf_counter() - start
+    history, _, rounds, timings = run_once(config)
+    elapsed = timings["rounds_s"]
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     json.dump(
         {
@@ -80,6 +88,7 @@ def command_child(arguments: argparse.Namespace) -> int:
             "cohort": arguments.cohort,
             "rounds": rounds,
             "elapsed_s": elapsed,
+            "prepare_s": timings["prepare_s"],
             "seconds_per_round": elapsed / rounds,
             "rounds_per_sec": rounds / elapsed,
             "peak_rss_kb": int(peak_rss_kb),
@@ -100,11 +109,11 @@ def assert_streaming_bitwise(cohort: int, epochs: int, seed: int) -> None:
     config = build_config(
         population=4 * cohort, cohort=cohort, epochs=epochs, seed=seed
     )
-    _, streamed, _ = run_once(config)
+    _, streamed, _, _ = run_once(config)
     eligible = RoundPipeline._streaming_eligible
     RoundPipeline._streaming_eligible = lambda self, round_index: False
     try:
-        _, in_memory, _ = run_once(config)
+        _, in_memory, _, _ = run_once(config)
     finally:
         RoundPipeline._streaming_eligible = eligible
     if not np.array_equal(streamed, in_memory):
@@ -134,6 +143,7 @@ def export_json(path: Path, cells: list[dict]) -> None:
                 "extra_info": {
                     "rounds": cell["rounds"],
                     "rounds_per_sec": cell["rounds_per_sec"],
+                    "prepare_s": cell["prepare_s"],
                     "peak_rss_kb": cell["peak_rss_kb"],
                     "final_accuracy": cell["final_accuracy"],
                 },
@@ -169,6 +179,7 @@ def command_drive(arguments: argparse.Namespace) -> int:
         print(
             f"population {population:>7d}  cohort {cell['cohort']:>3d}  "
             f"{cell['rounds_per_sec']:6.2f} rounds/s  "
+            f"set-up {cell['prepare_s']:5.2f} s  "
             f"peak RSS {cell['peak_rss_kb'] / 1024:7.1f} MiB"
         )
 

@@ -99,7 +99,8 @@ def protocol_sigma(
     Algorithm 1 adds ``N(0, sigma^2 I)`` to the sum of unit-norm slots, whose
     l2-sensitivity is 2.  The subsampled-Gaussian accountant works with the
     noise *multiplier* (noise std / sensitivity), so the returned value is
-    ``2 * calibrated_multiplier``.
+    ``2 * calibrated_multiplier``.  :func:`calibrate_sigma` memoises the
+    multiplier, so repeated calls with the same arguments are free.
     """
     multiplier = calibrate_sigma(
         target_epsilon=target_epsilon,

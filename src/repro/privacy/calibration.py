@@ -5,15 +5,25 @@ and the number of iterations T, then searches for the smallest noise
 multiplier σ meeting the target (the role played by TensorFlow Privacy in
 the original code).  We reproduce this with a bisection over σ using the RDP
 accountant, which is monotone: larger σ ⇒ smaller ε.
+
+Calibration is memoised on its scalar arguments (and the orders, as a
+tuple) in a bounded LRU cache of :data:`CALIBRATION_CACHE_SIZE` entries,
+so a run that calibrates its target and base ε at the same setting, or a
+sweep that revisits a cell, bisects each distinct (ε, δ, q, T) once per
+process.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 from repro.privacy.rdp import DEFAULT_ORDERS, compute_rdp, rdp_to_epsilon
 
-__all__ = ["epsilon_for_sigma", "calibrate_sigma"]
+__all__ = ["CALIBRATION_CACHE_SIZE", "epsilon_for_sigma", "calibrate_sigma"]
+
+#: Most distinct calibrations remembered at once.
+CALIBRATION_CACHE_SIZE = 256
 
 
 def epsilon_for_sigma(
@@ -50,6 +60,23 @@ def calibrate_sigma(
         If even ``sigma_max`` cannot reach the target (pathological settings),
         or if the target is non-positive.
     """
+    return _calibrate(
+        target_epsilon, delta, q, steps, tuple(orders), sigma_min, sigma_max, tolerance
+    )
+
+
+@functools.lru_cache(maxsize=CALIBRATION_CACHE_SIZE)
+def _calibrate(
+    target_epsilon: float,
+    delta: float,
+    q: float,
+    steps: int,
+    orders: tuple[int, ...],
+    sigma_min: float,
+    sigma_max: float,
+    tolerance: float,
+) -> float:
+    """The bisection behind :func:`calibrate_sigma` (memoised)."""
     if target_epsilon <= 0:
         raise ValueError(f"target_epsilon must be positive, got {target_epsilon}")
     if steps <= 0:
