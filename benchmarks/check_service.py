@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -101,6 +102,19 @@ def finish(process: subprocess.Popen, timeout: float = 300.0) -> str:
             f"process {process.args} exited {process.returncode}:\n{output}"
         )
     return output
+
+
+def fresh(*paths: Path) -> None:
+    """Delete what an earlier run left at ``paths`` (files or directories).
+
+    Every scenario starts from its own clean state: a state directory
+    left by a previous invocation would otherwise be resumed from.
+    """
+    for path in paths:
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink(missing_ok=True)
 
 
 def reap(workers: list[subprocess.Popen]) -> None:
@@ -169,6 +183,7 @@ def command_identity(arguments: argparse.Namespace) -> int:
     # Chaos run: the seeded fault trace replays bitwise over the wire.
     serial_metrics = workdir / "chaos-serial.jsonl"
     remote_metrics = workdir / "chaos-remote.jsonl"
+    fresh(serial_metrics, remote_metrics)
     serial = finish(spawn(
         "run", *CHAOS_FLAGS, "--metrics-out", str(serial_metrics)
     ))
@@ -194,6 +209,7 @@ def command_worker_kill(arguments: argparse.Namespace) -> int:
     workdir = Path(arguments.workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     metrics = workdir / "worker-kill.jsonl"
+    fresh(metrics)
     port = free_port()
 
     # One transport attempt: losing a worker mid-task immediately degrades
@@ -260,6 +276,7 @@ def command_coordinator_restart(arguments: argparse.Namespace) -> int:
     workdir.mkdir(parents=True, exist_ok=True)
     state_dir = workdir / "state"
     metrics = workdir / "restart.jsonl"
+    fresh(state_dir, metrics)
     port = free_port()
 
     sys.path.insert(0, str(SRC))
@@ -360,6 +377,9 @@ def command_observability(arguments: argparse.Namespace) -> int:
     plain_metrics = workdir / "plain.jsonl"
     traced_metrics = workdir / "traced.jsonl"
     trace = workdir / "trace.jsonl"
+    serve_trace = workdir / "serve-trace.jsonl"
+    serve_metrics = workdir / "serve-metrics.jsonl"
+    fresh(plain_metrics, traced_metrics, trace, serve_trace, serve_metrics)
     plain = finish(spawn(
         "run", *ACCEPTANCE_FLAGS, "--metrics-out", str(plain_metrics)
     ))
@@ -383,8 +403,6 @@ def command_observability(arguments: argparse.Namespace) -> int:
 
     port = free_port()
     status_port = free_port()
-    serve_trace = workdir / "serve-trace.jsonl"
-    serve_metrics = workdir / "serve-metrics.jsonl"
     coordinator = spawn(
         "serve", *ACCEPTANCE_FLAGS, "--port", str(port), "--workers", "4",
         "--status-port", str(status_port), "--trace-out", str(serve_trace),

@@ -492,9 +492,8 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         from repro.federated.observability import TraceRecorder
 
         callbacks.append(TraceRecorder(arguments.trace_out))
-    board = None
     status_servers = []
-    on_prepared = None
+    board = None
     if arguments.status_port is not None:
         from repro.federated.observability import (
             StatusBoard,
@@ -505,12 +504,14 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         board = StatusBoard()
         callbacks.append(StatusReporter(board))
 
-        def on_prepared(setup) -> None:
-            # The remote backend's coordinator exists once the experiment
-            # is prepared; attach the endpoint to it so /status sees the
-            # worker table and the admin verbs reach the dispatch loop.
-            backend = setup.simulation.backend
-            coordinator = getattr(backend, "server", None)
+    def on_prepared(setup) -> None:
+        # The remote backend's coordinator exists once the experiment is
+        # prepared.  Attach the status endpoint to it first, so /status
+        # sees the worker table and the admin verbs reach the dispatch
+        # loop.  Then wait for the expected workers: a worker that joins
+        # after the last round would never be sent ``shutdown``.
+        coordinator = setup.simulation.backend.server
+        if board is not None:
             status_servers.append(StatusServer(
                 board,
                 coordinator,
@@ -519,6 +520,9 @@ def _command_serve(arguments: argparse.Namespace) -> int:
             ))
             print(f"status endpoint on {arguments.host}:"
                   f"{status_servers[-1].port}", flush=True)
+        coordinator.wait_for_workers(
+            arguments.workers, timeout=arguments.worker_timeout
+        )
 
     print(f"coordinator listening on {arguments.host}:{arguments.port}, "
           f"expecting {arguments.workers} worker(s)")

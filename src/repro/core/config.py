@@ -143,7 +143,8 @@ class FaultsConfig:
     backend.  Fault models are registered in
     :data:`repro.federated.faults.FAULTS`; this config is pure data so it
     serialises with the experiment config.  The default ``"none"`` model
-    keeps the training loop on the exact fault-free reference path.
+    supplies zero fault plans, keeping the run byte-identical to the
+    fault-free reference.
 
     Attributes
     ----------
@@ -160,7 +161,8 @@ class FaultsConfig:
     retry:
         Keyword arguments for the execution backends'
         :class:`~repro.federated.backends.RetryPolicy` (``max_attempts``,
-        ``backoff_base``, ``timeout``, ...).
+        ``backoff_base``, ``timeout``, ...), which governs every round's
+        shard dispatch.
     """
 
     name: str = "none"

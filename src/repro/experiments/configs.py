@@ -89,11 +89,11 @@ class ExperimentConfig:
         CLI's ``--jobs N``).
     faults, faults_kwargs:
         Fault-injection scenario name (see
-        :func:`repro.federated.available_faults`; ``"none"`` keeps the
-        exact fault-free reference path, ``"dropout"``/``"straggler"``/
-        ``"crash"``/``"churn"``/``"chaos"`` inject seeded per-round
-        faults that replay bit-identically on every backend) and builder
-        arguments.
+        :func:`repro.federated.available_faults`; ``"none"`` supplies
+        zero fault plans -- the fault-free reference -- and
+        ``"dropout"``/``"straggler"``/``"crash"``/``"churn"``/``"chaos"``
+        inject seeded per-round faults that replay bit-identically on
+        every backend) and builder arguments.
     min_quorum:
         Minimum surviving cohort per round: an ``int >= 1`` absolute
         count or a ``float`` in ``(0, 1]`` fraction of the population;
@@ -101,7 +101,9 @@ class ExperimentConfig:
     retry_kwargs:
         Keyword arguments for the crash-retry
         :class:`~repro.federated.backends.RetryPolicy`
-        (``max_attempts``, ``backoff_base``, ``timeout``, ...).
+        (``max_attempts``, ``backoff_base``, ``timeout``, ...); it
+        governs every round's shard dispatch, so a ``timeout`` applies
+        to rounds that schedule no crash as well.
     population, cohort, sampling, sampling_kwargs:
         Cross-device mode: ``population`` registers that many lazy honest
         workers (``n_honest`` is then ignored) of which a seeded

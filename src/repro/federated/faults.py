@@ -36,9 +36,12 @@ the surviving ``(m, d)`` sub-cohort and raises :class:`QuorumError`
 (naming the round and the survivor count) when fewer than
 :func:`resolve_quorum` workers report.
 
-With the default :class:`NoFaults` model every fault seam is skipped
-entirely -- the zero-fault configuration runs the exact pre-fault code
-path and stays byte-identical to the seeded reference output.
+Every round goes through both seams.  The default :class:`NoFaults`
+model supplies the zero plans (no crashes, no dropped or late reports),
+under which the round is the full cohort in order and stays
+byte-identical to the seeded reference output.  The simulation's
+:class:`~repro.federated.backends.RetryPolicy` therefore governs every
+round's shard dispatch, not only rounds that schedule a crash.
 """
 
 from __future__ import annotations
@@ -198,11 +201,13 @@ class PoolFaultReport:
     ----------
     failed_workers:
         Boolean ``(n_workers,)`` mask of workers whose shard exhausted
-        the retry policy (their upload rows are invalid for the round).
+        the retry policy or was lost in transit (their upload rows are
+        invalid for the round).
     retried:
         Total retry attempts executed beyond each shard's first attempt.
     crashed_shards:
-        Number of shards that raised at least once.
+        Number of shards that needed more than one attempt or were lost
+        (an injected crash, or a remote shard lost in transit).
     """
 
     failed_workers: np.ndarray
@@ -266,8 +271,9 @@ class FaultModel:
         follow the experiment seed by default.
     """
 
-    #: ``False`` only for :class:`NoFaults`: lets every seam skip the
-    #: fault path entirely, keeping the zero-fault run byte-identical.
+    #: ``False`` only for :class:`NoFaults`, whose plans are all zero.
+    #: Rounds of an active model always report the ``fault_*`` counters
+    #: and never stream their aggregation.
     is_active: bool = True
 
     def __init__(self, seed: int = 0) -> None:
@@ -310,7 +316,7 @@ class FaultModel:
     summary="no injected faults -- the byte-identical reference path",
 )
 class NoFaults(FaultModel):
-    """The default: every fault seam is skipped entirely."""
+    """The default: zero crash counts and no dropped or late reports."""
 
     is_active = False
 

@@ -41,7 +41,6 @@ import numpy as np
 from repro.federated.faults import (
     BYZANTINE_SCOPE,
     HONEST_SCOPE,
-    FaultModel,
     ReportFaultPlan,
     ShardFaultPlan,
 )
@@ -582,7 +581,7 @@ class RoundPipeline:
         # one-shot run_round calls start with an empty buffer).  A
         # simulation restored from a full-state snapshot carries the
         # buffer across the restart; consume it exactly once.
-        self._pending = getattr(simulation, "_restored_pending", None)
+        self._pending = simulation._restored_pending
         if self._pending is not None:
             simulation._restored_pending = None
         # Tracing seam: a callback exposing a callable ``trace_span``
@@ -597,9 +596,7 @@ class RoundPipeline:
             if callable(getattr(callback, "trace_span", None)):
                 self._tracer = callback
         if self._tracer is not None:
-            backend = getattr(simulation, "backend", None)
-            if backend is not None and callable(getattr(backend, "set_tracer", None)):
-                backend.set_tracer(self._tracer)
+            simulation.backend.set_tracer(self._tracer)
         for callback in self.callbacks:
             bind = getattr(callback, "bind", None)
             if callable(bind):
@@ -622,17 +619,24 @@ class RoundPipeline:
         """
         return self.simulation.server.broadcast()
 
-    def honest_uploads(self) -> np.ndarray:
+    def honest_uploads(
+        self, crash_plan: ShardFaultPlan | None = None
+    ) -> np.ndarray:
         """Stage 2: the honest pool computes its DP uploads, ``(n_honest, d)``."""
         with self._span("stage", "honest_uploads"):
-            return self.simulation.honest_uploads()
+            return self.simulation.honest_uploads(crash_plan=crash_plan)
 
     def byzantine_uploads(
-        self, honest_uploads: np.ndarray, round_index: int
+        self,
+        honest_uploads: np.ndarray,
+        round_index: int,
+        crash_plan: ShardFaultPlan | None = None,
     ) -> np.ndarray:
         """Stage 3: the attacker produces its uploads, ``(n_byzantine, d)``."""
         with self._span("stage", "byzantine_uploads"):
-            return self.simulation.byzantine_uploads(honest_uploads, round_index)
+            return self.simulation.byzantine_uploads(
+                honest_uploads, round_index, crash_plan=crash_plan
+            )
 
     def aggregate_and_update(
         self,
@@ -642,47 +646,44 @@ class RoundPipeline:
     ) -> dict[str, float]:
         """Stages 4+5: aggregate the stacked uploads and update the model.
 
-        With ``worker_ids`` (the fault path), ``uploads`` holds only the
-        surviving sub-cohort's rows; the ids map each row back to its
+        With ``worker_ids`` (a partial or reordered cohort), ``uploads``
+        holds only the reporting rows; the ids map each row back to its
         worker so the server can aggregate the partial cohort against the
         expected population, and the selection diagnostic translates row
         indices back to worker identities.  In population mode (a
         simulation with a ``population_source``) the ids are *global*
         population ids -- callers translate local row indices through
-        :meth:`_state_ids` before handing them in -- and the server keys
-        its per-worker state by the full registered population.
+        ``simulation.global_worker_ids`` before handing them in -- and the
+        server keys its per-worker state by the full registered population.
         """
-        simulation = self.simulation
-        population_mode = getattr(simulation, "population_source", None) is not None
-        if population_mode and worker_ids is None:
-            worker_ids = simulation.global_worker_ids()
+        worker_ids, placement = self._placement(worker_ids)
         with self._span("stage", "aggregate_and_update"):
-            if worker_ids is None:
-                simulation.server.update(uploads)
-            elif population_mode:
-                simulation.server.update(
-                    uploads,
-                    worker_ids=worker_ids,
-                    population=simulation.total_population,
-                    expected=simulation.n_workers,
-                )
-            else:
-                simulation.server.update(
-                    uploads, worker_ids=worker_ids, population=simulation.n_workers
-                )
+            self.simulation.server.update(uploads, **placement)
         return self._selection_diagnostics(worker_ids, fault_diagnostics)
 
-    def _state_ids(self, local_ids: np.ndarray) -> np.ndarray:
-        """Translate the round's local row indices to server-state ids.
+    def _placement(
+        self, worker_ids: np.ndarray | None
+    ) -> tuple[np.ndarray | None, dict]:
+        """The rows' server-state ids and the server's keyword arguments.
 
-        Classic simulations key server state by the local row index, so
-        this is the identity; population-mode simulations map row ``i``
-        through the round's sampling plan to its global population id.
+        ``None`` means the full cohort in order; population mode replaces
+        it by the round's global ids, since the server state spans the
+        registered population rather than the cohort.
         """
-        mapper = getattr(self.simulation, "global_worker_ids", None)
-        if callable(mapper):
-            return mapper(local_ids)
-        return np.asarray(local_ids, dtype=np.int64)
+        simulation = self.simulation
+        if simulation.population_source is not None:
+            if worker_ids is None:
+                worker_ids = simulation.global_worker_ids()
+            return worker_ids, {
+                "worker_ids": worker_ids,
+                "population": simulation.total_population,
+                "expected": simulation.n_workers,
+            }
+        if worker_ids is None:
+            return None, {}
+        return worker_ids, {
+            "worker_ids": worker_ids, "population": simulation.n_workers
+        }
 
     def _selection_diagnostics(
         self,
@@ -697,8 +698,7 @@ class RoundPipeline:
             selected = np.asarray(selected)
             if row_ids is not None:
                 selected = np.asarray(row_ids)[selected]
-            floor = getattr(simulation, "byzantine_id_floor", simulation.n_honest)
-            byz_selected = float(np.mean(selected >= floor))
+            byz_selected = float(np.mean(selected >= simulation.byzantine_id_floor))
         diagnostics = {"byzantine_selected_fraction": byz_selected}
         if fault_diagnostics:
             diagnostics.update(fault_diagnostics)
@@ -727,222 +727,85 @@ class RoundPipeline:
         the hot path (:meth:`broadcast` stays available to callers that
         want to observe ``w_{t-1}``).
 
-        With an active fault model on the simulation, the round runs
-        through the fault seams instead (see :meth:`_run_faulty_round`);
-        the default no-fault configuration takes this exact path.
+        Every round runs the same stages over whatever cohort reported.
+        The simulation's fault model supplies the round's plans -- the
+        ``none`` model supplies zero plans:
 
-        Without injected faults the pools can still lose shards for real:
-        a remote backend turns an exhausted transport retry budget into
-        ordered :class:`~repro.federated.backends.TaskFailure` slots (a
-        worker process was killed and nobody reconnected in time).  The
-        pools publish that through ``last_fault_report``; the round then
-        degrades to partial-cohort aggregation over the survivors exactly
-        like an injected crash fault, instead of silently averaging the
-        dead workers' zero rows.
-        """
-        simulation = self.simulation
-        prepare = getattr(simulation, "prepare_round", None)
-        if callable(prepare):
-            prepare(round_index)
-        faults = getattr(simulation, "fault_model", None)
-        if faults is not None and faults.is_active:
-            return self._run_faulty_round(round_index, faults)
-        if self._streaming_eligible(round_index):
-            return self._run_streaming_round(round_index)
-        honest = self.honest_uploads()
-        honest_report = simulation.honest_pool.last_fault_report
-        if honest_report is None:
-            byzantine = self.byzantine_uploads(honest, round_index)
-        else:
-            # The attacker only observes uploads that were actually
-            # computed; rows lost in transit degenerate to nothing.
-            lost_honest = honest_report.failed_workers
-            attacker_view = honest[~lost_honest]
-            if simulation.n_byzantine > 0 and attacker_view.shape[0] == 0:
-                byzantine = np.zeros((simulation.n_byzantine, honest.shape[1]))
-            else:
-                byzantine = self.byzantine_uploads(attacker_view, round_index)
-        byzantine_report = (
-            simulation.byzantine_pool.last_fault_report
-            if simulation.byzantine_pool is not None
-            else None
-        )
-        uploads = np.concatenate((honest, byzantine), axis=0)
-        if honest_report is None and byzantine_report is None:
-            return self.aggregate_and_update(uploads)
-        n_workers = simulation.n_workers
-        lost = np.zeros(n_workers, dtype=bool)
-        retried = 0
-        if honest_report is not None:
-            lost[: simulation.n_honest] = honest_report.failed_workers
-            retried += honest_report.retried
-        if byzantine_report is not None:
-            lost[simulation.n_honest:] = byzantine_report.failed_workers
-            retried += byzantine_report.retried
-        survivor_ids = np.nonzero(~lost)[0]
-        diagnostics = {
-            "fault_lost": float(np.count_nonzero(lost)),
-            "fault_retried": float(retried),
-            "fault_survivors": float(survivor_ids.shape[0]),
-        }
-        return self.aggregate_and_update(
-            uploads[survivor_ids],
-            worker_ids=self._state_ids(survivor_ids),
-            fault_diagnostics=diagnostics,
-        )
+        - crash plans for the worker pools: shards retry under the
+          simulation's :class:`~repro.federated.backends.RetryPolicy`,
+          and shards that exhaust it lose their workers.  A remote
+          backend that loses a shard past its transport retry budget
+          loses those workers the same way.
+        - a report plan: dropped and late reports mask the stacked upload
+          matrix *after* computation, so worker streams never observe
+          them and the fault trace is a pure function of the round
+          counters, identical across backends.
 
-    def _streaming_eligible(self, round_index: int) -> bool:
-        """Whether this round can stream upload blocks to the server.
-
-        Streaming feeds shard-sized blocks straight into the rule's
-        :meth:`~repro.defenses.base.Aggregator.aggregate_stream` (bitwise
-        identical to the in-memory path), so the stacked ``(n, d)``
-        matrix never materialises.  It requires a rule that accepts
-        streams, an in-process backend (a remote transport can lose
-        shards mid-stream, which needs the partial-cohort path), and an
-        attacker that never looks at the honest matrix this round: no
-        Byzantine workers at all, or a protocol-following attack in an
-        active round (inactive rounds copy honest uploads, and crafting
-        attacks read the omniscient view).
-        """
-        simulation = self.simulation
-        if not getattr(simulation.server.aggregator, "accepts_streaming", False):
-            return False
-        pool = getattr(simulation, "honest_pool", None)
-        if pool is None or not hasattr(pool, "iter_upload_blocks"):
-            return False
-        backend = getattr(simulation, "backend", None)
-        if backend is not None and not backend.in_process:
-            return False
-        if simulation.n_byzantine == 0:
-            return True
-        attack = getattr(simulation, "attack", None)
-        return (
-            attack is not None
-            and attack.follows_protocol
-            and attack.is_active(round_index, simulation.settings.total_rounds)
-            and simulation.byzantine_pool is not None
-        )
-
-    def _run_streaming_round(self, round_index: int) -> dict[str, float]:
-        """Stages 2-5 out-of-core: upload blocks flow straight to the rule.
-
-        Only taken when :meth:`_streaming_eligible` holds, so the round
-        is clean (no faults, no fault reports possible) and the full
-        cohort reports.  The aggregated update is bitwise equal to the
-        in-memory path's.
-        """
-        simulation = self.simulation
-        model = simulation.model
-        n_rows = simulation.n_workers
-
-        def blocks():
-            yield from simulation.honest_pool.iter_upload_blocks(model)
-            if simulation.byzantine_pool is not None:
-                yield from simulation.byzantine_pool.iter_upload_blocks(model)
-
-        if getattr(simulation, "population_source", None) is not None:
-            worker_ids = simulation.global_worker_ids()
-            with self._span("stage", "streaming_update"):
-                simulation.server.update_stream(
-                    blocks(),
-                    n_rows,
-                    worker_ids=worker_ids,
-                    population=simulation.total_population,
-                    expected=n_rows,
-                )
-            return self._selection_diagnostics(worker_ids)
-        with self._span("stage", "streaming_update"):
-            simulation.server.update_stream(blocks(), n_rows)
-        return self._selection_diagnostics(None)
-
-    def _run_faulty_round(
-        self, round_index: int, faults: FaultModel
-    ) -> dict[str, float]:
-        """One round through the fault seams: crash, report, quorum.
-
-        Crash faults are injected into the worker pools (shards retry
-        under the simulation's :class:`~repro.federated.backends
-        .RetryPolicy`; exhausted shards lose their workers).  Report
-        faults mask the stacked upload matrix *after* computation --
-        worker streams never observe them, so the fault trace is a pure
-        function of the round counters and identical across backends.
         The surviving ``(m, d)`` sub-cohort reaches the server together
         with its worker ids; quorum enforcement lives in
-        :meth:`~repro.federated.server.Server.update`.
+        :meth:`~repro.federated.server.Server.update`.  Rounds that
+        qualify stream their uploads instead (see
+        :meth:`_streaming_eligible`).
         """
         simulation = self.simulation
+        simulation.prepare_round(round_index)
+        if self._streaming_eligible(round_index):
+            return self._run_streaming_round(round_index)
+        faults = simulation.fault_model
         n_honest = simulation.n_honest
         n_byzantine = simulation.n_byzantine
         n_workers = simulation.n_workers
-        policy = simulation.retry_policy
-
-        # Stage 2 under crash faults: honest pool.
-        honest_plan = ShardFaultPlan(
-            failures=faults.crash_failures(
-                round_index, HONEST_SCOPE, simulation.honest_pool.n_shards
-            ),
-            policy=policy,
-        )
-        with self._span("stage", "honest_uploads"):
-            honest = simulation.honest_uploads(crash_plan=honest_plan)
         crashed = np.zeros(n_workers, dtype=bool)
         retried = 0
-        honest_report = simulation.honest_pool.last_fault_report
-        if honest_report is not None:
-            crashed[:n_honest] = honest_report.failed_workers
-            retried += honest_report.retried
 
-        # Stage 3: the omniscient attacker observes every *computed*
-        # honest upload (report faults happen at the server's deadline,
-        # not on the devices); only permanently crashed rows -- never
-        # computed -- are invisible to it.
-        byzantine_plan = None
-        if simulation.byzantine_pool is not None:
-            byzantine_plan = ShardFaultPlan(
-                failures=faults.crash_failures(
-                    round_index, BYZANTINE_SCOPE, simulation.byzantine_pool.n_shards
-                ),
-                policy=policy,
+        honest = self.honest_uploads(
+            crash_plan=self._crash_plan(
+                simulation.honest_pool, HONEST_SCOPE, round_index
             )
-        attacker_view = honest[~crashed[:n_honest]]
+        )
+        attacker_view = honest
+        report = simulation.honest_pool.last_fault_report
+        if report is not None:
+            crashed[:n_honest] = report.failed_workers
+            retried += report.retried
+            # The omniscient attacker observes every *computed* honest
+            # upload (report faults happen at the server's deadline, not
+            # on the devices); only lost rows -- never computed -- are
+            # invisible to it.
+            attacker_view = honest[~report.failed_workers]
+
+        pool = simulation.byzantine_pool
         if n_byzantine > 0 and attacker_view.shape[0] == 0:
-            # Every honest shard crashed out: the attacker has nothing to
+            # Every honest shard was lost: the attacker has nothing to
             # observe or mimic, so its uploads degenerate to zeros.
             byzantine = np.zeros((n_byzantine, honest.shape[1]))
         else:
-            with self._span("stage", "byzantine_uploads"):
-                byzantine = simulation.byzantine_uploads(
-                    attacker_view, round_index, crash_plan=byzantine_plan
-                )
-        byzantine_report = (
-            simulation.byzantine_pool.last_fault_report
-            if simulation.byzantine_pool is not None
-            else None
-        )
-        if byzantine_report is not None:
-            crashed[n_honest:] = byzantine_report.failed_workers
-            retried += byzantine_report.retried
+            byzantine = self.byzantine_uploads(
+                attacker_view,
+                round_index,
+                crash_plan=(
+                    None if pool is None
+                    else self._crash_plan(pool, BYZANTINE_SCOPE, round_index)
+                ),
+            )
+        report = None if pool is None else pool.last_fault_report
+        if report is not None:
+            crashed[n_honest:] = report.failed_workers
+            retried += report.retried
 
         # Report faults over the stacked cohort (honest rows first).
         plan = faults.report_faults(round_index, n_workers)
         dropped, late = self._validated_report(plan, n_workers)
         stacked = np.concatenate((honest, byzantine), axis=0)
-
         lost = crashed | dropped | late
-        survivor_ids = np.nonzero(~lost)[0]
-        rows = stacked[survivor_ids]
-        # From here on ids live in server-state space (identity in the
-        # classic mode, global population ids under cohort subsampling),
-        # so a buffered straggler row stays attributed to the *worker*
-        # that computed it even when the next round samples a different
-        # cohort.
-        survivor_ids = self._state_ids(survivor_ids)
 
         # Buffered stragglers: deliver last round's late reports now,
         # stash this round's for the next (a worker may then contribute
         # a stale and a fresh row -- the id-keyed aggregation handles
-        # duplicates).
+        # duplicates).  Buffered ids live in server-state space (global
+        # population ids under cohort subsampling), so a buffered row
+        # stays attributed to the *worker* that computed it even when the
+        # next round samples a different cohort.
         arrivals = self._pending
         self._pending = None
         buffered = 0
@@ -951,27 +814,104 @@ class RoundPipeline:
             buffered = int(np.count_nonzero(buffer_mask))
             if buffered:
                 self._pending = (
-                    self._state_ids(np.nonzero(buffer_mask)[0]),
+                    simulation.global_worker_ids(np.nonzero(buffer_mask)[0]),
                     stacked[buffer_mask].copy(),
                 )
-        if arrivals is not None:
-            survivor_ids = np.concatenate((survivor_ids, arrivals[0]))
-            rows = np.concatenate((rows, arrivals[1]), axis=0)
-            order = np.argsort(survivor_ids, kind="stable")
-            survivor_ids = survivor_ids[order]
-            rows = rows[order]
 
-        diagnostics = {
-            "fault_dropped": float(np.count_nonzero(dropped)),
-            "fault_timed_out": float(np.count_nonzero(late)),
-            "fault_crashed": float(np.count_nonzero(crashed)),
-            "fault_retried": float(retried),
-            "fault_buffered": float(buffered),
-            "fault_survivors": float(rows.shape[0]),
-        }
+        rows, worker_ids = stacked, None
+        if lost.any() or arrivals is not None:
+            survivor_ids = np.nonzero(~lost)[0]
+            rows = stacked[survivor_ids]
+            worker_ids = simulation.global_worker_ids(survivor_ids)
+            if arrivals is not None:
+                worker_ids = np.concatenate((worker_ids, arrivals[0]))
+                rows = np.concatenate((rows, arrivals[1]), axis=0)
+                order = np.argsort(worker_ids, kind="stable")
+                worker_ids = worker_ids[order]
+                rows = rows[order]
+
+        diagnostics = None
+        if faults.is_active:
+            diagnostics = {
+                "fault_dropped": float(np.count_nonzero(dropped)),
+                "fault_timed_out": float(np.count_nonzero(late)),
+                "fault_crashed": float(np.count_nonzero(crashed)),
+                "fault_retried": float(retried),
+                "fault_buffered": float(buffered),
+                "fault_survivors": float(rows.shape[0]),
+            }
+        elif lost.any():
+            diagnostics = {
+                "fault_lost": float(np.count_nonzero(lost)),
+                "fault_retried": float(retried),
+                "fault_survivors": float(rows.shape[0]),
+            }
         return self.aggregate_and_update(
-            rows, worker_ids=survivor_ids, fault_diagnostics=diagnostics
+            rows, worker_ids=worker_ids, fault_diagnostics=diagnostics
         )
+
+    def _crash_plan(self, pool, scope: int, round_index: int) -> ShardFaultPlan:
+        """The fault model's crash schedule for ``pool`` in this round."""
+        simulation = self.simulation
+        return ShardFaultPlan(
+            failures=simulation.fault_model.crash_failures(
+                round_index, scope, pool.n_shards
+            ),
+            policy=simulation.retry_policy,
+        )
+
+    def _streaming_eligible(self, round_index: int) -> bool:
+        """Whether this round can stream upload blocks to the server.
+
+        Streaming feeds shard-sized blocks straight into the rule's
+        :meth:`~repro.defenses.base.Aggregator.aggregate_stream` (bitwise
+        identical to the in-memory path), so the stacked ``(n, d)``
+        matrix never materialises.  It requires a round in which no
+        report can be lost: no injected faults, and an in-process
+        backend (a remote transport can lose shards mid-stream).  It
+        also requires a rule that accepts streams and an attacker that
+        never looks at the honest matrix this round: no Byzantine
+        workers at all, or a protocol-following attack in an active
+        round (inactive rounds copy honest uploads, and crafting attacks
+        read the omniscient view).
+        """
+        simulation = self.simulation
+        if (
+            simulation.fault_model.is_active
+            or not simulation.backend.in_process
+            or not simulation.server.aggregator.accepts_streaming
+        ):
+            return False
+        if simulation.n_byzantine == 0:
+            return True
+        attack = simulation.attack
+        return (
+            attack.follows_protocol
+            and attack.is_active(round_index, simulation.settings.total_rounds)
+            and simulation.byzantine_pool is not None
+        )
+
+    def _run_streaming_round(self, round_index: int) -> dict[str, float]:
+        """Stages 2-5 out-of-core: upload blocks flow straight to the rule.
+
+        Only taken when :meth:`_streaming_eligible` holds, so the full
+        cohort reports.  The aggregated update is bitwise equal to the
+        in-memory path's.
+        """
+        simulation = self.simulation
+        model = simulation.model
+
+        def blocks():
+            yield from simulation.honest_pool.iter_upload_blocks(model)
+            if simulation.byzantine_pool is not None:
+                yield from simulation.byzantine_pool.iter_upload_blocks(model)
+
+        worker_ids, placement = self._placement(None)
+        with self._span("stage", "streaming_update"):
+            simulation.server.update_stream(
+                blocks(), simulation.n_workers, **placement
+            )
+        return self._selection_diagnostics(worker_ids)
 
     @staticmethod
     def _validated_report(
@@ -1025,7 +965,7 @@ class RoundPipeline:
         """
         settings = self.simulation.settings
         total_rounds = settings.total_rounds
-        start_round = getattr(self.simulation, "start_round", 0)
+        start_round = self.simulation.start_round
         if start_round >= total_rounds:
             # Resumed from the final snapshot: nothing left to train, but
             # evaluate once so the recorded history has its final point.

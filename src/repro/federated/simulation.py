@@ -233,7 +233,7 @@ class FederatedSimulation:
         self.fault_model: FaultModel = build_faults(
             faults_spec, default_seed=seed, **faults_kwargs
         )
-        #: shard retry policy applied when crash faults are active
+        #: retry policy of every round's shard dispatch
         if retry is None:
             self.retry_policy = RetryPolicy()
         elif isinstance(retry, RetryPolicy):
@@ -455,11 +455,8 @@ class FederatedSimulation:
         """This round's honest uploads, shape ``(n_honest, d)``.
 
         ``crash_plan`` injects seeded shard crashes (retried under the
-        simulation's retry policy); ``None`` is the fault-free path (and
-        keeps the call signature of pre-fault pool substitutes working).
+        simulation's retry policy); ``None`` is the zero plan.
         """
-        if crash_plan is None:
-            return self.honest_pool.compute_uploads(self.model)
         return self.honest_pool.compute_uploads(self.model, crash_plan=crash_plan)
 
     def byzantine_uploads(
@@ -498,8 +495,6 @@ class FederatedSimulation:
 
         if attack.follows_protocol:
             assert self.byzantine_pool is not None
-            if crash_plan is None:
-                return self.byzantine_pool.compute_uploads(self.model)
             return self.byzantine_pool.compute_uploads(
                 self.model, crash_plan=crash_plan
             )

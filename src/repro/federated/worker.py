@@ -25,7 +25,7 @@ therefore dispatch its shards through a parallel
 :class:`~repro.federated.backends.ExecutionBackend` -- concurrently over
 threads, or over worker processes with the flat parameters in shared
 memory -- and still produce uploads bitwise identical to the serial
-in-order loop, no matter in which order shards complete (the backend's
+backend, no matter in which order shards complete (the backend's
 ordered reduction plus the per-worker streams pin every result to its
 worker index).  Each concurrent slot gets its own sampling scratch, its
 own engine instance and -- because a :class:`~repro.nn.network
@@ -33,6 +33,12 @@ own engine instance and -- because a :class:`~repro.nn.network
 replica, refreshed from the true model's flat parameters each round.
 When no ``shard_size`` is given, parallel backends split the pool into
 ``max_workers`` near-equal shards so the concurrency is actually used.
+
+Every round dispatches its shards through the backend's
+``map_resilient`` under a crash plan (a fault-free round is the zero
+plan).  A shard lost to an injected crash past the retry budget, or to a
+remote worker lost past the transport budget, leaves its workers' rows
+zero and their state untouched; ``last_fault_report`` says which.
 
 Mini-batches are gathered per worker straight out of each worker's own
 dataset, so the pool no longer keeps a concatenated second copy of its
@@ -58,6 +64,7 @@ from repro.core.dp_protocol import BatchedDPState, LocalDPState
 from repro.data.dataset import Dataset
 from repro.federated.backends import (
     ExecutionBackend,
+    RetryPolicy,
     SharedArray,
     TaskFailure,
     build_backend,
@@ -139,16 +146,25 @@ def _process_cache() -> dict[str, tuple[Sequential, ClientEngine]]:
     return cache
 
 
-def _process_shard_task(payload: tuple) -> tuple[np.ndarray, list[dict]]:
-    """One shard finalisation inside a process-backend worker.
+def _process_shard_task(
+    item: tuple[CrashCounter, tuple],
+) -> tuple[np.ndarray, list[dict], int]:
+    """One shard finalisation inside an out-of-process worker.
 
-    The payload carries everything the shard needs: the pool token plus
-    pickled model/engine blobs (unpickled once per worker process and
-    cached), the shared-memory handle of the current flat parameters,
-    the pre-sampled mini-batches, the shard's momentum rows and the
-    shard's generators.  Returns the uploads and the post-noise
-    generator states so the parent can keep its streams in sync.
+    ``item`` pairs the shard's :class:`~repro.federated.faults
+    .CrashCounter` with its payload: the pool token plus pickled
+    model/engine blobs (unpickled once per worker and cached), the
+    shared-memory handle of the current flat parameters, the pre-sampled
+    mini-batches, the shard's momentum rows and the shard's generators.
+    The counter ticks (and possibly raises) *before* the shard runs, so a
+    retried attempt starts from the exact pre-task state; the retry loop
+    of ``map_resilient`` runs on the same unpickled item inside the
+    worker, so the attempt count survives retries.  Returns the uploads,
+    the post-noise generator states (the parent keeps its streams in sync
+    with them) and the attempt count.
     """
+    counter, payload = item
+    counter.tick()
     (
         token,
         model_blob,
@@ -182,25 +198,11 @@ def _process_shard_task(payload: tuple) -> tuple[np.ndarray, list[dict]]:
     uploads = engine.compute_uploads(
         model, features, labels, n_workers, state, dp_config, rngs
     )
-    return np.array(uploads), [rng.bit_generator.state for rng in rngs]
-
-
-def _faulty_process_shard_task(
-    item: tuple[CrashCounter, tuple],
-) -> tuple[np.ndarray, list[dict], int]:
-    """A :func:`_process_shard_task` with an injected-crash counter.
-
-    The counter ticks (and possibly raises) *before* the shard runs, so a
-    retried attempt starts from the exact pre-task state -- the payload's
-    generators are only advanced by the attempt that succeeds.  The retry
-    loop of ``map_resilient`` runs on the same unpickled item inside the
-    worker process, so the counter's attempt count survives retries and
-    travels back with the result.
-    """
-    counter, payload = item
-    counter.tick()
-    uploads, rng_states = _process_shard_task(payload)
-    return uploads, rng_states, counter.calls
+    return (
+        np.array(uploads),
+        [rng.bit_generator.state for rng in rngs],
+        counter.calls,
+    )
 
 
 class WorkerPool:
@@ -302,7 +304,8 @@ class WorkerPool:
         self._blob_source: Sequential | None = None
         # Cache-invalidation token only: never feeds any computed result.
         self._process_token = uuid.uuid4().hex  # repro-lint: disable=REP001 -- cache key only
-        #: what the last faulty round observed (``None`` after clean rounds)
+        #: what the last round observed (``None`` when every shard
+        #: succeeded at its first attempt)
         self.last_fault_report: PoolFaultReport | None = None
 
     @property
@@ -356,18 +359,18 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     # shard execution
     # ------------------------------------------------------------------ #
-    def _compute_shard(
+    def _run_shard(
         self,
         model: Sequential,
         workspace: _ShardWorkspace,
         bounds: tuple[int, int],
-        uploads: np.ndarray,
-    ) -> None:
-        """Sample, run the engine and finalise one shard into ``uploads``.
+    ) -> np.ndarray:
+        """Sample, run the engine and finalise one shard; returns its uploads.
 
-        Touches only the shard's own worker streams, momentum rows and
-        upload rows, so concurrent calls on *distinct* workspaces never
-        share mutable state.
+        Touches only the shard's own worker streams and momentum rows, so
+        concurrent calls on *distinct* workspaces never share mutable
+        state.  The result may be a view into the workspace's engine
+        scratch: callers copy it out before releasing the workspace.
         """
         start, stop = bounds
         batch = self.dp_config.batch_size
@@ -381,8 +384,8 @@ class WorkerPool:
             slot_momentum=self.state.slot_momentum[start:stop],
             batch_size=batch,
         )
-        uploads[start:stop] = workspace.engine.compute_uploads(
-            model,
+        return workspace.engine.compute_uploads(
+            model if workspace.model is None else workspace.model,
             features,
             labels,
             stop - start,
@@ -391,89 +394,39 @@ class WorkerPool:
             self.rngs[start:stop],
         )
 
-    def _stream_shard(
-        self,
-        model: Sequential,
-        workspace: _ShardWorkspace,
-        bounds: tuple[int, int],
-    ) -> np.ndarray:
-        """Sample, run the engine and return one shard's uploads as a copy.
-
-        Identical arithmetic and state semantics to :meth:`_compute_shard`
-        (same worker streams, same momentum view), but the result is a
-        fresh ``(stop - start, d)`` array rather than rows of a
-        pre-allocated ``(n, d)`` matrix -- the engine's scratch is reused
-        by the next shard, so the copy is what makes the block safe to
-        hand to a streaming consumer.
-        """
-        start, stop = bounds
-        batch = self.dp_config.batch_size
-        workspace.ensure_scratch(
-            batch, self.shard_size * batch, self.datasets[0].dim
-        )
-        features, labels = workspace.sample(
-            self.datasets, self.rngs, start, stop, batch
-        )
-        shard_state = BatchedDPState(
-            slot_momentum=self.state.slot_momentum[start:stop],
-            batch_size=batch,
-        )
-        return np.array(
-            workspace.engine.compute_uploads(
-                model,
-                features,
-                labels,
-                stop - start,
-                shard_state,
-                self.dp_config,
-                self.rngs[start:stop],
-            )
-        )
-
     def iter_upload_blocks(self, model: Sequential):
-        """Yield the round's uploads shard-by-shard (fault-free path only).
+        """Yield the round's uploads shard-by-shard (fault-free rounds only).
 
         The streaming sibling of :meth:`compute_uploads`: blocks arrive
         in worker order and their concatenation is bitwise-identical to
-        the ``(n, d)`` matrix -- but on the serial in-process path that
-        matrix never exists, so peak memory is one shard's uploads plus
-        the engine scratch no matter how large the cohort.  In-process
-        parallel backends overlap shard computation behind the backend's
-        ordered lazy iterator (leased workspaces, copies per block);
-        out-of-process backends already materialise the round in the
-        parent and simply yield views of it.
+        the ``(n, d)`` matrix, which never exists -- peak memory is the
+        in-flight shards' uploads plus the engine scratch no matter how
+        large the cohort.  Parallel backends overlap shard computation
+        behind the backend's ordered lazy iterator (leased workspaces,
+        copies per block).  Only in-process backends stream; an
+        out-of-process one raises ``TypeError``.
         """
+        if not self.backend.in_process:
+            raise TypeError(
+                f"{type(self.backend).__name__} runs out of process and "
+                "cannot stream upload blocks; use compute_uploads"
+            )
         n, batch = self.n_workers, self.dp_config.batch_size
-        dimension = model.num_parameters
-        self.state.ensure_shape(n, batch, dimension)
+        self.state.ensure_shape(n, batch, model.num_parameters)
         self.last_fault_report = None
-        backend = self.backend
-        if not backend.in_process:
-            uploads = np.empty((n, dimension), dtype=np.float64)
-            self._compute_uploads_process(model, uploads)
-            for start, stop in self._shard_bounds:
-                yield uploads[start:stop]
-            return
-        jobs = min(backend.max_workers, self.n_shards)
-        if jobs <= 1:
-            for bounds in self._shard_bounds:
-                yield self._stream_shard(model, self._primary, bounds)
-            return
         free: queue.SimpleQueue = queue.SimpleQueue()
-        for workspace in self._parallel_workspaces(model, jobs):
+        jobs = min(self.backend.max_workers, self.n_shards)
+        for workspace in self._leased_workspaces(model, jobs):
             free.put(workspace)
 
         def run_shard(bounds: tuple[int, int]) -> np.ndarray:
             workspace = free.get()
             try:
-                shard_model = (
-                    workspace.model if workspace.model is not None else model
-                )
-                return self._stream_shard(shard_model, workspace, bounds)
+                return np.array(self._run_shard(model, workspace, bounds))
             finally:
                 free.put(workspace)
 
-        yield from backend.map_streamed(run_shard, self._shard_bounds)
+        yield from self.backend.map_streamed(run_shard, self._shard_bounds)
 
     def _new_engine(self) -> ClientEngine:
         """A fresh engine for a parallel slot (spec rebuild, or clone)."""
@@ -481,7 +434,7 @@ class WorkerPool:
             return self._engine_source.clone()
         return build_engine(self._engine_source)
 
-    def _parallel_workspaces(self, model: Sequential, jobs: int) -> list[_ShardWorkspace]:
+    def _leased_workspaces(self, model: Sequential, jobs: int) -> list[_ShardWorkspace]:
         """The first ``jobs`` execution slots, replicas synced to ``model``.
 
         Slot 0 uses the caller's model directly; every further slot owns a
@@ -499,38 +452,67 @@ class WorkerPool:
                 _ShardWorkspace(self._new_engine(), model.clone())
             )
         workspaces = self._workspaces[:jobs]
-        flat = model.get_flat_parameters()
-        for workspace in workspaces:
-            if workspace.model is not None:
+        if jobs > 1:
+            flat = model.get_flat_parameters()
+            for workspace in workspaces[1:]:
                 workspace.model.set_flat_parameters(flat)
         return workspaces
 
-    def _compute_uploads_parallel(
-        self, model: Sequential, uploads: np.ndarray, jobs: int
-    ) -> None:
+    def _run_in_process(
+        self,
+        model: Sequential,
+        uploads: np.ndarray,
+        counters: list[CrashCounter],
+        policy: RetryPolicy,
+    ) -> list:
         """Dispatch the shards over the backend's in-process concurrency.
 
         Workspaces are leased per task, so any shard can run on any
         slot; results land in ``uploads`` by shard index (and noise and
         momentum by worker index), which makes the outcome independent
-        of shard completion order.
+        of shard completion order.  Returns the ordered ``map_resilient``
+        results (``TaskFailure`` for a shard that exhausted ``policy``).
         """
 
-        def run_shard(workspace: _ShardWorkspace, bounds: tuple[int, int]) -> None:
-            shard_model = workspace.model if workspace.model is not None else model
-            self._compute_shard(shard_model, workspace, bounds, uploads)
+        def run_shard(workspace: _ShardWorkspace, shard_index: int) -> None:
+            # The injected crash fires before sampling touches any worker
+            # stream; a retry therefore re-enters a pristine shard.
+            counters[shard_index].tick()
+            start, stop = self._shard_bounds[shard_index]
+            uploads[start:stop] = self._run_shard(model, workspace, (start, stop))
 
-        self.backend.map_leased(
-            run_shard, self._shard_bounds, self._parallel_workspaces(model, jobs)
+        jobs = min(self.backend.max_workers, self.n_shards)
+        return self.backend.map_resilient(
+            run_shard,
+            range(self.n_shards),
+            policy,
+            resources=self._leased_workspaces(model, jobs),
         )
 
-    def _process_round_setup(self, model: Sequential):
-        """Refresh the pickled blobs, publish the parameters, size scratch.
+    def _run_out_of_process(
+        self,
+        model: Sequential,
+        uploads: np.ndarray,
+        counters: list[CrashCounter],
+        policy: RetryPolicy,
+    ) -> list:
+        """Dispatch the shards over an out-of-process backend.
 
-        The shared per-round setup of the out-of-process dispatch paths;
-        returns the parameter handle the shard payloads carry (a
-        :class:`SharedArray` when the backend shares memory, else the
-        flat vector itself).
+        Mini-batches are sampled in the parent (each worker's own stream,
+        worker order -- identical draws to the in-process path), the
+        model skeleton is pickled once per pool and the current flat
+        parameters travel through the backend's shared memory.  Workers
+        return the uploads plus their generators' post-noise states;
+        restoring those keeps the parent's streams bit-identical to an
+        in-process round, and the momentum overwrite (Algorithm 1 line
+        11) equals the uploads, so the parent's state needs no second
+        payload.
+
+        Shards scheduled to fail on every attempt are never sampled or
+        dispatched, as in process, where the crash fires before sampling.
+        A dispatched shard may still come back as a :class:`TaskFailure`
+        (an advisory deadline, or a remote shard lost in transit).  Each
+        counter's ``calls`` is updated to the attempts its shard took.
         """
         batch = self.dp_config.batch_size
         if self._model_blob is None or self._blob_source is not model:
@@ -553,203 +535,51 @@ class WorkerPool:
         self._primary.ensure_scratch(
             batch, self.shard_size * batch, self.datasets[0].dim
         )
-        return parameters
-
-    def _shard_payload(
-        self, parameters, bounds: tuple[int, int]
-    ) -> tuple:
-        """Sample one shard in the parent and build its task payload."""
-        start, stop = bounds
-        batch = self.dp_config.batch_size
-        features, labels = self._primary.sample(
-            self.datasets, self.rngs, start, stop, batch
-        )
-        return (
-            self._process_token,
-            self._model_blob,
-            self._engine_blob,
-            parameters,
-            np.array(features),
-            np.array(labels),
-            stop - start,
-            np.array(self.state.slot_momentum[start:stop]),
-            self.dp_config,
-            self.rngs[start:stop],
-        )
-
-    def _compute_uploads_process(
-        self, model: Sequential, uploads: np.ndarray
-    ) -> None:
-        """Dispatch the shards over an out-of-process backend.
-
-        Mini-batches are sampled in the parent (each worker's own stream,
-        worker order -- identical draws to the serial path), the model
-        skeleton is pickled once per pool and the current flat parameters
-        travel through the backend's shared memory.  Workers return the
-        uploads plus their generators' post-noise states; restoring those
-        keeps the parent's streams bit-identical to a serial round, and
-        the momentum overwrite (Algorithm 1 line 11) equals the uploads,
-        so the parent's state needs no second payload.
-
-        A backend may degrade a lost task (a dead remote worker past its
-        transport retry budget) to an ordered :class:`TaskFailure` slot
-        instead of raising.  The affected shard's workers then drop out
-        of the round exactly like a permanently crashed shard: zero
-        upload rows, momentum untouched, post-noise generator states
-        never restored -- and :attr:`last_fault_report` carries the mask
-        so the pipeline aggregates the surviving partial cohort.
-        """
-        parameters = self._process_round_setup(model)
-        payloads = [
-            self._shard_payload(parameters, bounds) for bounds in self._shard_bounds
-        ]
-        results = self.backend.map_ordered(_process_shard_task, payloads)
-        failed_workers = np.zeros(self.n_workers, dtype=bool)
-        lost_shards = 0
-        for (start, stop), result in zip(self._shard_bounds, results):
-            if isinstance(result, TaskFailure):
-                failed_workers[start:stop] = True
-                lost_shards += 1
-                uploads[start:stop] = 0.0
-                continue
-            shard_uploads, rng_states = result
-            uploads[start:stop] = shard_uploads
-            for index, state in zip(range(start, stop), rng_states):
-                self.rngs[index].bit_generator.state = state
-            np.copyto(self.state.slot_momentum[start:stop], uploads[start:stop])
-        if lost_shards:
-            self.last_fault_report = PoolFaultReport(
-                failed_workers=failed_workers,
-                retried=0,
-                crashed_shards=lost_shards,
-            )
-
-    # ------------------------------------------------------------------ #
-    # fault-injected execution (the crash seam)
-    # ------------------------------------------------------------------ #
-    def _compute_uploads_resilient(
-        self, model: Sequential, uploads: np.ndarray, plan: ShardFaultPlan
-    ) -> None:
-        """Run the round under an injected crash plan, tolerating failures.
-
-        Every shard task ticks its :class:`~repro.federated.faults
-        .CrashCounter` *before* touching any state (sampling, noise,
-        momentum), so a shard retried within the plan's
-        :class:`~repro.federated.backends.RetryPolicy` budget replays
-        bitwise identically to a never-failing one.  Shards that exhaust
-        the policy lose their workers for the round: their upload rows
-        stay zero, their generators never advance and their momentum is
-        untouched -- identically under every backend.  The outcome is
-        published in :attr:`last_fault_report`.
-        """
-        failures = np.asarray(plan.failures, dtype=np.int64)
-        if failures.shape != (self.n_shards,):
-            raise ValueError(
-                f"crash plan covers {failures.shape} shards, pool has "
-                f"{self.n_shards}"
-            )
-        failed_workers = np.zeros(self.n_workers, dtype=bool)
-        if not self.backend.in_process:
-            retried = self._resilient_process(
-                model, uploads, failures, plan.policy, failed_workers
-            )
-        else:
-            retried = self._resilient_in_process(
-                model, uploads, failures, plan.policy, failed_workers
-            )
-        self.last_fault_report = PoolFaultReport(
-            failed_workers=failed_workers,
-            retried=retried,
-            crashed_shards=int(np.count_nonzero(failures)),
-        )
-
-    def _resilient_in_process(
-        self,
-        model: Sequential,
-        uploads: np.ndarray,
-        failures: np.ndarray,
-        policy,
-        failed_workers: np.ndarray,
-    ) -> int:
-        """Crash-plan execution for the serial and threaded backends."""
-        counters = [CrashCounter(k) for k in failures]
-        jobs = max(1, min(self.backend.max_workers, self.n_shards))
-
-        def run_shard(workspace: _ShardWorkspace, shard_index: int) -> None:
-            # The injected crash fires before sampling touches any worker
-            # stream; a retry therefore re-enters a pristine shard.
-            counters[shard_index].tick()
-            shard_model = workspace.model if workspace.model is not None else model
-            self._compute_shard(
-                shard_model, workspace, self._shard_bounds[shard_index], uploads
-            )
-
-        results = self.backend.map_resilient(
-            run_shard,
-            range(self.n_shards),
-            policy,
-            resources=self._parallel_workspaces(model, jobs),
-        )
-        for shard_index, result in enumerate(results):
-            if isinstance(result, TaskFailure):
-                start, stop = self._shard_bounds[shard_index]
-                failed_workers[start:stop] = True
-        return sum(max(0, counter.calls - 1) for counter in counters)
-
-    def _resilient_process(
-        self,
-        model: Sequential,
-        uploads: np.ndarray,
-        failures: np.ndarray,
-        policy,
-        failed_workers: np.ndarray,
-    ) -> int:
-        """Crash-plan execution for out-of-process backends.
-
-        Permanently failing shards (``failures >= policy.max_attempts``)
-        are detected in the parent and never sampled or dispatched --
-        matching the in-process path, where the crash fires before
-        sampling, so the surviving workers' generator streams stay
-        bit-identical across backends.  Recoverable shards carry their
-        crash counter inside the task item; the retry loop runs in the
-        worker process on the same unpickled counter, and the attempt
-        count travels back with the result.
-        """
-        parameters = self._process_round_setup(model)
-        max_attempts = policy.max_attempts
-        retried = 0
-        live: list[tuple[int, int, int]] = []
+        results: list = []
+        live: list[int] = []
         items: list[tuple[CrashCounter, tuple]] = []
-        for shard_index, (start, stop) in enumerate(self._shard_bounds):
-            scheduled = int(failures[shard_index])
-            if scheduled >= max_attempts:
-                failed_workers[start:stop] = True
-                retried += max_attempts - 1
+        for index, (counter, (start, stop)) in enumerate(
+            zip(counters, self._shard_bounds)
+        ):
+            if counter.failures >= policy.max_attempts:
+                counter.calls = policy.max_attempts
+                results.append(TaskFailure(
+                    index=index,
+                    attempts=counter.calls,
+                    error="scheduled to crash on every attempt; not dispatched",
+                ))
                 continue
-            items.append(
-                (CrashCounter(scheduled), self._shard_payload(parameters, (start, stop)))
+            features, labels = self._primary.sample(
+                self.datasets, self.rngs, start, stop, batch
             )
-            live.append((shard_index, start, stop))
-        results = (
-            self.backend.map_resilient(_faulty_process_shard_task, items, policy)
-            if items
-            else []
-        )
-        for (shard_index, start, stop), result in zip(live, results):
+            results.append(None)
+            live.append(index)
+            items.append((counter, (
+                self._process_token,
+                self._model_blob,
+                self._engine_blob,
+                parameters,
+                np.array(features),
+                np.array(labels),
+                stop - start,
+                np.array(self.state.slot_momentum[start:stop]),
+                self.dp_config,
+                self.rngs[start:stop],
+            )))
+        dispatched = self.backend.map_resilient(_process_shard_task, items, policy)
+        for index, result in zip(live, dispatched):
+            results[index] = result
+            counter = counters[index]
             if isinstance(result, TaskFailure):
-                # An advisory-timeout exhaustion, or a transport loss on a
-                # remote backend (the injected crash schedule of a
-                # dispatched shard is below max_attempts by construction).
-                failed_workers[start:stop] = True
-                retried += result.attempts - 1
+                counter.calls = result.attempts
                 continue
-            shard_uploads, rng_states, attempts = result
+            start, stop = self._shard_bounds[index]
+            shard_uploads, rng_states, counter.calls = result
             uploads[start:stop] = shard_uploads
-            for index, state in zip(range(start, stop), rng_states):
-                self.rngs[index].bit_generator.state = state
+            for worker, state in zip(range(start, stop), rng_states):
+                self.rngs[worker].bit_generator.state = state
             np.copyto(self.state.slot_momentum[start:stop], uploads[start:stop])
-            retried += attempts - 1
-        return retried
+        return results
 
     def compute_uploads(
         self, model: Sequential, crash_plan: ShardFaultPlan | None = None
@@ -764,32 +594,52 @@ class WorkerPool:
         independent between finalisations, of the execution backend and of
         shard completion order.
 
-        With an *active* ``crash_plan`` (see :class:`~repro.federated
-        .faults.ShardFaultPlan`) shards crash and retry as scheduled:
-        recovered shards are bitwise identical to never-failing ones,
-        permanently failed shards leave zero upload rows and untouched
+        Shards crash and retry as ``crash_plan`` (see :class:`~repro
+        .federated.faults.ShardFaultPlan`) schedules; ``None`` is the zero
+        plan.  A shard's crash fires before it touches any state, so
+        recovered shards are bitwise identical to never-failing ones.
+        Shards that exhaust the plan's retry policy -- or that a remote
+        backend loses in transit -- leave zero upload rows and untouched
         worker state, and :attr:`last_fault_report` describes the round.
-        An inactive (or absent) plan takes the exact fault-free path.
         """
         n, batch = self.n_workers, self.dp_config.batch_size
         dimension = model.num_parameters
         self.state.ensure_shape(n, batch, dimension)
-        self.last_fault_report = None
-        if crash_plan is not None and crash_plan.is_active:
-            uploads = np.zeros((n, dimension), dtype=np.float64)
-            self._compute_uploads_resilient(model, uploads, crash_plan)
-            return uploads
-        uploads = np.empty((n, dimension), dtype=np.float64)
-        backend = self.backend
-        if not backend.in_process:
-            self._compute_uploads_process(model, uploads)
-            return uploads
-        jobs = min(backend.max_workers, self.n_shards)
-        if jobs <= 1:
-            for bounds in self._shard_bounds:
-                self._compute_shard(model, self._primary, bounds, uploads)
+        if crash_plan is None:
+            failures = np.zeros(self.n_shards, dtype=np.int64)
+            policy = RetryPolicy()
         else:
-            self._compute_uploads_parallel(model, uploads, jobs)
+            failures = np.asarray(crash_plan.failures, dtype=np.int64)
+            policy = crash_plan.policy
+        if failures.shape != (self.n_shards,):
+            raise ValueError(
+                f"crash plan covers {failures.shape} shards, pool has "
+                f"{self.n_shards}"
+            )
+        counters = [CrashCounter(k) for k in failures]
+        uploads = np.zeros((n, dimension), dtype=np.float64)
+        run = (
+            self._run_in_process if self.backend.in_process
+            else self._run_out_of_process
+        )
+        results = run(model, uploads, counters, policy)
+        failed_workers = np.zeros(n, dtype=bool)
+        crashed_shards = 0
+        for (start, stop), counter, result in zip(
+            self._shard_bounds, counters, results
+        ):
+            lost = isinstance(result, TaskFailure)
+            if lost:
+                failed_workers[start:stop] = True
+            if lost or counter.calls > 1:
+                crashed_shards += 1
+        self.last_fault_report = None
+        if crashed_shards:
+            self.last_fault_report = PoolFaultReport(
+                failed_workers=failed_workers,
+                retried=sum(counter.calls - 1 for counter in counters),
+                crashed_shards=crashed_shards,
+            )
         return uploads
 
     def reset(self) -> None:

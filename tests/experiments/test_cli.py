@@ -181,6 +181,58 @@ class TestOperationalExitCodes:
         assert err.startswith("repro: connection error: ")
         assert len(err.strip().splitlines()) == 1
 
+    def test_serve_waits_for_every_expected_worker(self, capsys):
+        # The first round starts only once --workers registered, so a
+        # late worker still takes part and is sent ``shutdown`` at the end.
+        import socket
+        import threading
+        import time
+
+        from repro.federated.service import run_worker
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        events: list[tuple[float, str, str]] = []
+        codes: dict[str, int] = {}
+        registered = threading.Event()
+
+        def work(name: str) -> None:
+            def log(line: str) -> None:
+                events.append((time.monotonic(), name, line))
+                if "registered" in line:
+                    registered.set()
+
+            codes[name] = run_worker(
+                "127.0.0.1", port, name=name, log=log, verbose=True,
+                reconnect_timeout=10.0,
+            )
+
+        early = threading.Thread(target=work, args=("early",), daemon=True)
+        early.start()
+
+        def start_late() -> None:
+            registered.wait(30.0)
+            time.sleep(0.5)
+            events.append((time.monotonic(), "late", "starting"))
+            work("late")
+
+        late = threading.Thread(target=start_late, daemon=True)
+        late.start()
+        code = main([
+            "serve", *FAST_ARGUMENTS, "--attack", "gaussian",
+            "--port", str(port), "--workers", "2", "--worker-timeout", "30",
+        ])
+        early.join(timeout=30.0)
+        late.join(timeout=30.0)
+        assert code == 0
+        assert codes == {"early": 0, "late": 0}
+        late_start = next(t for t, name, _ in events if name == "late")
+        first_task = min(
+            t for t, _, line in events if line.endswith("started")
+        )
+        assert first_task > late_start
+
 
 class TestCommands:
     def test_list_prints_registries(self, capsys):

@@ -308,6 +308,45 @@ class TestPoolBackends:
         finally:
             BACKENDS.unregister("reversed_test")
 
+    @pytest.mark.parametrize("name", ["serial", "threaded", "process"])
+    def test_zero_crash_plan_is_the_absent_plan(self, name):
+        from repro.federated.backends import RetryPolicy
+        from repro.federated.faults import ShardFaultPlan
+
+        model, _ = make_model_and_data(seed=2)
+        shards = make_shards(6, seed=3)
+        config = DPConfig(batch_size=4, sigma=0.9, momentum=0.2)
+        backend = build_backend(name, max_workers=2)
+        absent = make_pool(shards, config, shard_size=2, backend=backend)
+        planned = make_pool(shards, config, shard_size=2, backend=backend)
+        zero = ShardFaultPlan(
+            failures=np.zeros(planned.n_shards, dtype=np.int64),
+            policy=RetryPolicy(),
+        )
+        try:
+            for round_index in range(2):
+                np.testing.assert_array_equal(
+                    planned.compute_uploads(model, crash_plan=zero),
+                    absent.compute_uploads(model),
+                    err_msg=f"round {round_index}",
+                )
+                assert planned.last_fault_report is None
+                assert absent.last_fault_report is None
+        finally:
+            backend.shutdown()
+
+    def test_upload_blocks_need_an_in_process_backend(self):
+        model, _ = make_model_and_data(seed=2)
+        pool = make_pool(
+            make_shards(4, seed=3), DPConfig(batch_size=4, sigma=1.0),
+            shard_size=2, backend=ProcessBackend(max_workers=2),
+        )
+        try:
+            with pytest.raises(TypeError, match="out of process"):
+                next(pool.iter_upload_blocks(model))
+        finally:
+            pool.backend.shutdown()
+
 
 class TestBackendSimulation:
     """Backend choice is invisible in end-to-end run results."""

@@ -475,6 +475,49 @@ class TestFaultyTraining:
         assert simulation.server.min_quorum == 2
 
 
+class ShardLosingBackend(SerialBackend):  # repro-lint: disable=REP004 -- test double, constructed directly
+    """Test double: loses the first shard of every resilient dispatch, like
+    a remote worker lost past its transport retry budget."""
+
+    def map_resilient(self, fn, items, policy=None, resources=None):
+        results = super().map_resilient(fn, items, policy, resources)
+        results[0] = TaskFailure(index=0, attempts=1, error="lost in transit")
+        return results
+
+
+FAULT_COUNTERS = {
+    "fault_dropped", "fault_timed_out", "fault_crashed",
+    "fault_retried", "fault_buffered", "fault_survivors",
+}
+
+
+class TestOneRoundPath:
+    """The diagnostics every kind of round reports through the one path."""
+
+    def test_none_reports_only_the_selection_fraction(self):
+        simulation = build_simulation(
+            n_byzantine=2, attack=LocalModelPoisoningAttack(),
+            aggregator=two_stage(), shard_size=2,
+        )
+        assert set(simulation.run_round(0)) == {"byzantine_selected_fraction"}
+
+    def test_active_model_reports_every_fault_counter(self):
+        # Even a round that loses nothing reports all six counters.
+        simulation = build_simulation(faults=ChaosFaults(dropout=0.0, crash=0.0))
+        diagnostics = simulation.run_round(0)
+        assert set(diagnostics) == {"byzantine_selected_fraction", *FAULT_COUNTERS}
+        assert diagnostics["fault_survivors"] == simulation.n_workers
+
+    def test_none_with_a_lost_shard_reports_the_loss(self):
+        simulation = build_simulation(shard_size=2, backend=ShardLosingBackend())
+        assert simulation.run_round(0) == {
+            "byzantine_selected_fraction": 0.0,
+            "fault_lost": 2.0,
+            "fault_retried": 0.0,
+            "fault_survivors": 4.0,
+        }
+
+
 class TestCrossBackendDeterminism:
     @pytest.mark.parametrize("backend", ["threaded", "process"])
     def test_chaos_trace_and_accuracy_match_serial(self, backend):

@@ -19,8 +19,12 @@ from repro.experiments.runner import run_experiment
 from repro.federated.worker import WorkerPool
 
 
-def scalar_compute_uploads(pool, model):
-    """Sequential reference: one scalar ``local_update`` per worker, in order."""
+def scalar_compute_uploads(pool, model, crash_plan=None):
+    """Sequential reference: one scalar ``local_update`` per worker, in order.
+
+    Only fault-free rounds are modelled: the plan must be absent or zero.
+    """
+    assert crash_plan is None or not crash_plan.is_active
     if not hasattr(pool, "_scalar_states"):
         pool._scalar_states = [LocalDPState() for _ in range(pool.n_workers)]
     return np.vstack(
